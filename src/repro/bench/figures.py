@@ -188,6 +188,18 @@ NEGATIVE_FIGURES: dict[str, tuple[str, str, str]] = {
     "fig13_q11_3": ("AST11", AST11, Q11_3),
 }
 
+#: the eight distinct figure ASTs (AST6 is AST4), for installing them all
+#: at once so they compete for every figure query
+PAPER_ASTS: list[tuple[str, str]] = [
+    ("AST1", AST1), ("AST2", AST2), ("AST4", AST4), ("AST7", AST7),
+    ("AST8", AST8), ("AST10", AST10), ("AST11", AST11), ("AST12", AST12),
+]
+
+#: every figure query, Table 1's and Figure 13's negatives included
+PAPER_QUERIES: list[str] = [
+    Q1, Q2, Q4, Q6, Q7, Q8, Q10, Q11_1, Q11_2, Q11_3, Q12_1, Q12_2,
+]
+
 
 def make_database(config: GeneratorConfig | None = None) -> Database:
     database = Database(credit_card_catalog())

@@ -1440,6 +1440,10 @@ def _describe_fast_path(delta: dict[str, int]) -> str:
     else:
         parts.append("decision cache: off")
     parts.append(f"matches attempted: {delta['matches_attempted']}")
+    if delta.get("candidates_dominated"):
+        parts.append(
+            f"dominated (not navigated): {delta['candidates_dominated']}"
+        )
     if delta.get("stale_rejections"):
         parts.append(
             f"stale summaries rejected: {delta['stale_rejections']} "

@@ -22,6 +22,7 @@ class EquivalenceClasses:
 
     def __init__(self) -> None:
         self._parent: dict[ColumnRef, ColumnRef] = {}
+        self._key: frozenset | None = None
 
     def _find(self, ref: ColumnRef) -> ColumnRef:
         if ref not in self._parent:
@@ -40,6 +41,7 @@ class EquivalenceClasses:
         root_right = self._find(right)
         if root_left == root_right:
             return
+        self._key = None
         # Keep the smaller key as representative for determinism.
         if sort_key(root_right) < sort_key(root_left):
             root_left, root_right = root_right, root_left
@@ -84,6 +86,15 @@ class EquivalenceClasses:
 
         return expr.transform(visit)
 
+    def key(self) -> frozenset:
+        """The classes' content as a hashable value: every known column
+        paired with its representative (cached until the next merge)."""
+        if self._key is None:
+            self._key = frozenset(
+                (ref, self._find(ref)) for ref in list(self._parent)
+            )
+        return self._key
+
     def classes(self) -> list[set[ColumnRef]]:
         """All non-singleton classes, for display and testing."""
         by_root: dict[ColumnRef, set[ColumnRef]] = {}
@@ -110,12 +121,25 @@ def canonical(expr: Expr, classes: EquivalenceClasses | None = None) -> Expr:
     the premise equality already excludes NULLs, so within the matcher's
     implication reasoning the fold is sound.
     """
-    if classes is not None:
-        expr = classes.rewrite(expr)
-        expr = normalize(expr)
-        expr = normalize(expr.transform(_fold_trivial_equality))
-        return expr
-    return normalize(expr)
+    if classes is None:
+        return normalize(expr)
+    key = (classes.key(), expr)
+    result = _CANONICAL.get(key)
+    if result is None:
+        result = normalize(classes.rewrite(expr))
+        result = normalize(result.transform(_fold_trivial_equality))
+        if len(_CANONICAL) >= _CANONICAL_BOUND:
+            _CANONICAL.clear()
+        _CANONICAL[key] = result
+    return result
+
+
+#: canonical() results keyed by (classes' content, expression): the
+#: matcher asks about the same few predicates under the same few classes
+#: many times per query, and separately built but equal classes share
+#: entries. Cleared whole when full.
+_CANONICAL: dict[tuple[frozenset, Expr], Expr] = {}
+_CANONICAL_BOUND = 4096
 
 
 def _fold_trivial_equality(node: Expr) -> Expr | None:

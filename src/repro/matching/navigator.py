@@ -49,12 +49,15 @@ def match_graphs(
 
 
 def root_matches(
-    query: QueryGraph, ast: QueryGraph, ctx: MatchContext
+    query: QueryGraph, ast: QueryGraph, ctx: MatchContext,
+    heights: dict[int, int] | None = None,
 ) -> list[MatchResult]:
     """Matches whose subsumer is the AST's root box — the ones a rewrite
     can use — ordered so the most profitable (highest query box, i.e. the
-    one replacing the most work) comes first."""
-    heights = box_heights(query)
+    one replacing the most work) comes first. ``heights`` is
+    ``box_heights(query)`` when the caller already has it."""
+    if heights is None:
+        heights = box_heights(query)
     found = [
         result
         for (subsumee_id, subsumer_id), result in ctx.results.items()

@@ -96,6 +96,18 @@ def _match_with_pairing(
                 "compensations; only one can be pulled up",
             )
         return None
+    if any(q.name == MAIN for q in rejoins):
+        # The subsumee is a compensation box left by an earlier §7
+        # rewrite: its unmatched summary scan ranges under MAIN, the
+        # name the new compensation reserves for the subsumer.
+        t = _trace.ACTIVE
+        if t is not None:
+            t.reject(
+                "regroupability", "4.2.3",
+                f"rejoin quantifier {MAIN!r} collides with the "
+                "compensation's subsumer quantifier",
+            )
+        return None
     extra_join_preds = _lossless_extras(subsumee, subsumer, pairs, extras, ctx)
     if extra_join_preds is None:
         # condition 1 of 4.1.1 violated

@@ -16,9 +16,10 @@ A :class:`MatchTrace` collects, per candidate summary table:
 * a per-summary **verdict**: the matched pattern section, or the named
   reject reason closest to the root pairing;
 * fast-path verdicts that never reach the navigator — ``pruned``
-  (signature index), ``refresh-age`` (staleness gate), ``quarantined``
-  (fault sandbox), and ``cache-hit`` (decision cache replay) — so the
-  verdict table is never empty on warm queries;
+  (signature index), ``dominated`` (the §7 search already found a
+  smaller root match), ``refresh-age`` (staleness gate),
+  ``quarantined`` (fault sandbox), and ``cache-hit`` (decision cache
+  replay) — so the verdict table is never empty on warm queries;
 * phase timings (parse/bind/match/compensate/execute) in milliseconds.
 
 Zero cost when disabled: the module-level :data:`ACTIVE` slot is the
@@ -96,6 +97,11 @@ REASONS = {
         "4",
         "signature index pruned the candidate before matching (required "
         "base tables / grouping shape cannot cover the query)",
+    ),
+    "dominated": (
+        "7",
+        "not navigated: a summary with no more rows already matched the "
+        "query root, so this one could not have been chosen",
     ),
     "cache-hit": (
         "4",
@@ -296,8 +302,8 @@ class MatchTrace:
 
     def verdict(self, name: str, reason: str, detail: str | None = None,
                 applied: bool = False, pattern: str | None = None) -> None:
-        """Record a fast-path verdict (pruned / refresh-age /
-        quarantined / cache-hit) that bypassed the navigator."""
+        """Record a fast-path verdict (pruned / dominated / refresh-age
+        / quarantined / cache-hit) that bypassed the navigator."""
         attempt = SummaryAttempt(name, 0)
         attempt.reason = reason
         attempt.detail = detail

@@ -46,6 +46,8 @@ _STAT_FIELDS = {
     "candidates_considered": "summaries seen by the index",
     "candidates_pruned": "... of which pruned without navigation",
     "matches_attempted": "full match_graphs navigations run",
+    "candidates_dominated": "skipped unnavigated: a smaller summary "
+    "already matched the query root",
     "rewrites_applied": "accepted (summary, match) applications",
     "cache_hits": "positive decision-cache hits (replays)",
     "cache_negative_hits": "cached 'no rewrite applies' hits",

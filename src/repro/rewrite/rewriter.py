@@ -97,27 +97,7 @@ def rewrite_query(
             if stats is not None:
                 stats.candidates_considered += len(remaining)
                 stats.candidates_pruned += len(remaining) - len(pool)
-        # Gather every candidate (summary, match) and take the best one:
-        # the highest query box saved, then the smallest summary table
-        # (a lightweight instance of related problem (b)).
-        heights = box_heights(graph)
-        candidates = []
-        for summary in pool:
-            if stats is not None:
-                stats.matches_attempted += 1
-            match = _best_match(graph, summary, options)
-            if match is None:
-                continue
-            candidates.append(
-                (-heights.get(id(match.subsumee), 0), summary.row_count, summary, match)
-            )
-        candidates.sort(key=lambda item: (item[0], item[1]))
-        chosen = None
-        for _, _, summary, match in candidates:
-            if accept is None or accept(summary, match):
-                chosen = (summary, match)
-                break
-            remaining.remove(summary)
+        chosen = _choose(graph, pool, accept, options, stats, remaining)
         if chosen is None:
             break
         summary, match = chosen
@@ -136,6 +116,59 @@ def rewrite_query(
     return RewriteResult(graph, applied)
 
 
+def _choose(graph, pool, accept, options, stats, remaining):
+    """The accepted ``(summary, match)`` of one §7 iteration, or None.
+
+    The choice rule is the highest query box replaced, then the smallest
+    summary table (a lightweight instance of related problem (b)), then
+    pool order. The root box is strictly the highest, so visiting the
+    pool in ascending ``row_count`` (stable, keeping pool order for ties)
+    lets the first accepted match *at the root* end the search: every
+    later candidate could at best tie on height and loses on size. Those
+    are skipped unnavigated and counted as ``candidates_dominated``.
+    Lower-level matches are collected on the way and, when no root match
+    is accepted, ranked exactly as an exhaustive search would rank them.
+    Candidates ``accept`` rejects are dropped from ``remaining``.
+    """
+    heights = box_heights(graph)
+    ordered = sorted(pool, key=lambda summary: summary.row_count)
+    lower = []
+    for position, summary in enumerate(ordered):
+        if stats is not None:
+            stats.matches_attempted += 1
+        match = _best_match(graph, summary, options, heights)
+        if match is None:
+            continue
+        if match.subsumee is not graph.root:
+            lower.append((-heights[id(match.subsumee)], summary, match))
+            continue
+        if accept is not None and not accept(summary, match):
+            remaining.remove(summary)
+            continue
+        dominated = ordered[position + 1:]
+        if dominated:
+            if stats is not None:
+                stats.candidates_dominated += len(dominated)
+            t = _trace.ACTIVE
+            if t is not None:
+                for loser in dominated:
+                    t.verdict(
+                        loser.name, "dominated",
+                        f"{summary.name} matches the query root with "
+                        f"{summary.row_count} rows (this one has "
+                        f"{loser.row_count})",
+                    )
+        return summary, match
+    # ``lower`` is already in (row_count, pool) order; a stable sort on
+    # height alone completes the (-height, row_count, pool) ranking.
+    lower.sort(key=lambda item: item[0])
+    for _, summary, match in lower:
+        if accept is None or accept(summary, match):
+            return summary, match
+        remaining.remove(summary)
+    return None
+
+
 def _box_position(graph: QueryGraph, target: QGMBox) -> int:
     for position, box in enumerate(graph.boxes()):
         if box is target:
@@ -144,19 +177,20 @@ def _box_position(graph: QueryGraph, target: QGMBox) -> int:
 
 
 def _best_match(
-    graph: QueryGraph, summary: SummaryTable, options: dict | None = None
+    graph: QueryGraph, summary: SummaryTable, options: dict | None,
+    heights: dict[int, int],
 ) -> MatchResult | None:
     faults.fire("rewrite.match")
     t = _trace.ACTIVE
     if t is None:
         ctx = match_graphs(graph, summary.graph, options=options)
-        candidates = root_matches(graph, summary.graph, ctx)
+        candidates = root_matches(graph, summary.graph, ctx, heights)
         return candidates[0] if candidates else None
     t.begin_summary(summary.name, summary.graph.root)
     match = None
     try:
         ctx = match_graphs(graph, summary.graph, options=options)
-        candidates = root_matches(graph, summary.graph, ctx)
+        candidates = root_matches(graph, summary.graph, ctx, heights)
         match = candidates[0] if candidates else None
     finally:
         t.end_summary(match)

@@ -75,3 +75,27 @@ class TestRewriteAndEquivalence:
     def test_join_predicate_collapses_to_true(self):
         classes = classes_with((FAID, AID))
         assert canonical(BinaryOp("=", FAID, AID), classes) == Literal(True)
+
+
+class TestCanonicalMemo:
+    """canonical() is memoized on the classes' content, not identity."""
+
+    def test_merge_after_a_lookup_is_seen(self):
+        classes = classes_with((FAID, AID))
+        predicate = BinaryOp("=", FLID, LID)
+        before = canonical(predicate, classes)
+        assert before != Literal(True)
+        classes.add_equality(FLID, LID)
+        assert canonical(predicate, classes) == Literal(True)
+
+    def test_equal_content_shares_an_entry(self):
+        expr = FuncCall("year", (AID,))
+        first = canonical(expr, classes_with((FAID, AID)))
+        second = canonical(expr, classes_with((AID, FAID)))
+        assert first is second
+
+    def test_different_content_differs(self):
+        expr = NaryOp("+", (FAID, FLID))
+        assert canonical(expr, classes_with((FAID, AID))) != canonical(
+            expr, classes_with((FLID, LID))
+        )
